@@ -88,10 +88,18 @@ type Conn struct {
 	rttPending        bool
 	rtoTimer          simnet.Timer
 	rtoArmed          bool
+	// rtoFn is onRTO bound once, so re-arming the timer allocates
+	// nothing.
+	rtoFn func()
 
-	// Receiver state.
-	received map[int]bool
-	rcvNext  int
+	// Receiver state: rcvWin is a ring bitset marking the segments in
+	// [rcvNext, rcvNext+64·len(rcvWin)) that arrived out of order.
+	rcvWin  []uint64
+	rcvNext int
+
+	// ackRoutes caches the reverse of each distinct data route, so
+	// ACKs share one route slice per data route.
+	ackRoutes []ackRoute
 
 	// RoutePicker, when set, chooses the route of every outgoing data
 	// packet (per-packet load balancing, e.g. TeXCP). When nil the
@@ -136,9 +144,10 @@ func NewConn(net *simnet.Net, id int, route []topology.LinkID, sizeBits float64,
 		cwnd:     opts.InitialCwnd,
 		ssthresh: opts.InitialSsthresh,
 		rto:      0.2,
-		received: make(map[int]bool),
+		rcvWin:   make([]uint64, windowWords(opts.MaxCwndSegs)),
 		onDone:   onDone,
 	}
+	c.rtoFn = c.onRTO
 	c.totalSegs = int(math.Ceil(sizeBits / c.mssBits))
 	return c, nil
 }
@@ -233,13 +242,13 @@ func (c *Conn) sendSegment(seq int, retx bool) {
 		c.rttSeq = seq
 		c.rttSentAt = c.net.K.Now()
 	}
-	c.net.Send(&simnet.Packet{
-		FlowID:   c.id,
-		Seq:      seq,
-		SizeBits: c.mssBits + c.hdrBits,
-		Route:    route,
-		Retx:     retx,
-	})
+	p := c.net.NewPacket()
+	p.FlowID = c.id
+	p.Seq = seq
+	p.SizeBits = c.mssBits + c.hdrBits
+	p.Route = route
+	p.Retx = retx
+	c.net.Send(p)
 }
 
 // Deliver dispatches a packet of this flow to the right endpoint half.
@@ -256,24 +265,85 @@ func (c *Conn) Deliver(p *simnet.Packet) {
 // paper's ns-2 setup).
 func (c *Conn) onData(p *simnet.Packet) {
 	if p.Seq >= c.rcvNext {
-		c.received[p.Seq] = true
+		c.markReceived(p.Seq)
 	}
-	for c.received[c.rcvNext] {
-		delete(c.received, c.rcvNext)
+	for c.takeReceived(c.rcvNext) {
 		c.rcvNext++
 	}
+	ack := c.net.NewPacket()
+	ack.FlowID = c.id
+	ack.Ack = true
+	ack.AckNum = c.rcvNext
+	ack.SizeBits = c.hdrBits
 	// ACK travels the reverse of the data packet's actual route.
-	rev := make([]topology.LinkID, 0, len(p.Route))
-	for i := len(p.Route) - 1; i >= 0; i-- {
-		rev = append(rev, c.g.Reverse(p.Route[i]))
+	ack.Route = c.reverseRoute(p.Route)
+	c.net.Send(ack)
+}
+
+// windowWords sizes the receive bitset to hold a full window of
+// maxCwnd segments (capped; the window grows on demand beyond it).
+func windowWords(maxCwnd float64) int {
+	w := 1
+	for float64(64*w) < maxCwnd && w < 1<<10 {
+		w *= 2
 	}
-	c.net.Send(&simnet.Packet{
-		FlowID:   c.id,
-		Ack:      true,
-		AckNum:   c.rcvNext,
-		SizeBits: c.hdrBits,
-		Route:    rev,
-	})
+	return w
+}
+
+// markReceived records segment seq >= rcvNext, growing the window when
+// seq lies beyond it.
+func (c *Conn) markReceived(seq int) {
+	for seq-c.rcvNext >= 64*len(c.rcvWin) {
+		old := c.rcvWin
+		c.rcvWin = make([]uint64, 2*len(old))
+		for s := c.rcvNext; s < c.rcvNext+64*len(old); s++ {
+			if bitTest(old, s) {
+				bitSet(c.rcvWin, s)
+			}
+		}
+	}
+	bitSet(c.rcvWin, seq)
+}
+
+// takeReceived reports whether segment seq was received, clearing it.
+func (c *Conn) takeReceived(seq int) bool {
+	if !bitTest(c.rcvWin, seq) {
+		return false
+	}
+	i := seq & (64*len(c.rcvWin) - 1)
+	c.rcvWin[i>>6] &^= 1 << (i & 63)
+	return true
+}
+
+func bitSet(w []uint64, seq int) {
+	i := seq & (64*len(w) - 1)
+	w[i>>6] |= 1 << (i & 63)
+}
+
+func bitTest(w []uint64, seq int) bool {
+	i := seq & (64*len(w) - 1)
+	return w[i>>6]&(1<<(i&63)) != 0
+}
+
+// ackRoute pairs a data route with its reverse.
+type ackRoute struct {
+	data, rev []topology.LinkID
+}
+
+// reverseRoute returns the reverse of a data route, computing it once
+// per distinct route.
+func (c *Conn) reverseRoute(route []topology.LinkID) []topology.LinkID {
+	for i := range c.ackRoutes {
+		if linksEqual(c.ackRoutes[i].data, route) {
+			return c.ackRoutes[i].rev
+		}
+	}
+	rev := make([]topology.LinkID, 0, len(route))
+	for i := len(route) - 1; i >= 0; i-- {
+		rev = append(rev, c.g.Reverse(route[i]))
+	}
+	c.ackRoutes = append(c.ackRoutes, ackRoute{data: route, rev: rev})
+	return rev
 }
 
 // onAck is the sender's New Reno ACK processing.
@@ -358,7 +428,7 @@ func (c *Conn) armRTO() {
 		c.rtoTimer.Cancel()
 	}
 	c.rtoArmed = true
-	c.rtoTimer = c.net.K.After(c.rto, c.onRTO)
+	c.rtoTimer = c.net.K.After(c.rto, c.rtoFn)
 }
 
 // DebugTrace, when set, receives congestion events (testing aid).
